@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "cusim/device.hpp"
-#include "fault_guard.hpp"
+#include "hook_guard.hpp"
 
 namespace {
 
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
     void* d = nullptr;
     (void)device.malloc_device(&d, 4096);
     std::vector<std::byte> h(4096);
-    const int rc = bench::fault_hook_overhead_guard(
+    const int rc = bench::hook_overhead_guard(
         "cusim memcpy(4 KiB)",
         [&] { (void)device.memcpy(d, h.data(), 4096, cusim::MemcpyDir::kHostToDevice); },
         2000);

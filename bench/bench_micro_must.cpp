@@ -8,7 +8,7 @@
 
 #include <vector>
 
-#include "fault_guard.hpp"
+#include "hook_guard.hpp"
 #include "mpisim/world.hpp"
 #include "must/runtime.hpp"
 
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     world.run([&rc](mpisim::Comm comm) {
       std::vector<double> send(64);
       std::vector<double> recv(64);
-      rc = bench::fault_hook_overhead_guard(
+      rc = bench::hook_overhead_guard(
           "mpisim self send/recv(64 doubles)",
           [&] {
             mpisim::Request* request = nullptr;

@@ -13,8 +13,8 @@
 //   --smoke      CI mode: ~20x fewer iterations, same code paths.
 //   --max-ranks  Cap the rank sweep (default 16; 32/64 reach the wide
 //                shared-memory grids of the proc backend).
-//   --guard-only Run only the disabled-obs-hook and disarmed-schedule
-//                overhead guards (CI gate).
+//   --guard-only Run only the disarmed-hook overhead guard (CI gate, see
+//                bench/hook_guard.hpp).
 //   --backend    Transport sweep: in-process threads (default), forked
 //                processes over shm rings, or both side by side.
 //   --metrics    Dump the sweep's metrics-registry delta as JSON to PATH.
@@ -25,16 +25,15 @@
 
 #include "bench_common.hpp"
 #include "bench_json.hpp"
+#include "hook_guard.hpp"
 #include "capi/cuda.hpp"
 #include "capi/mpi.hpp"
 #include "common/rng.hpp"
 #include "mpisim/counters.hpp"
 #include "mpisim/request.hpp"
 #include "mpisim/world.hpp"
-#include "obs_guard.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
-#include "sched_guard.hpp"
 
 namespace {
 
@@ -212,16 +211,10 @@ int main(int argc, char** argv) {
     void* d = nullptr;
     (void)device.malloc_device(&d, 4096);
     std::vector<std::byte> h(4096);
-    int rc = bench::obs_hook_overhead_guard(
+    const int rc = bench::hook_overhead_guard(
         "cusim memcpy(4 KiB)",
         [&] { (void)device.memcpy(d, h.data(), 4096, cusim::MemcpyDir::kHostToDevice); },
         2000);
-    if (rc == 0) {
-      rc = bench::sched_hook_overhead_guard(
-          "cusim memcpy(4 KiB)",
-          [&] { (void)device.memcpy(d, h.data(), 4096, cusim::MemcpyDir::kHostToDevice); },
-          2000);
-    }
     (void)device.free(d);
     if (rc != 0 || guard_only) {
       return rc;

@@ -38,27 +38,13 @@
 #include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "svc/executor.hpp"
-#include "testsuite/scenarios.hpp"
+#include "testsuite/campaign.hpp"
 
 namespace {
 
-[[nodiscard]] const std::vector<testsuite::Scenario>& scenario_matrix() {
-  static const std::vector<testsuite::Scenario> scenarios = testsuite::build_scenarios();
-  return scenarios;
-}
-
-[[nodiscard]] const testsuite::Scenario* find_scenario(const std::string& name) {
-  for (const auto& scenario : scenario_matrix()) {
-    if (scenario.name == name) {
-      return &scenario;
-    }
-  }
-  return nullptr;
-}
-
 /// One scenario, standalone — the body a baseline child process runs.
 int one_session_main(const char* name) {
-  const testsuite::Scenario* scenario = find_scenario(name);
+  const testsuite::Scenario* scenario = testsuite::find_scenario(name);
   if (scenario == nullptr) {
     std::fprintf(stderr, "unknown scenario: %s\n", name);
     return 2;
@@ -159,7 +145,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const testsuite::Scenario* scenario = find_scenario(scenario_name);
+  const testsuite::Scenario* scenario = testsuite::find_scenario(scenario_name);
   if (scenario == nullptr || sessions < 1) {
     std::fprintf(stderr, "unknown scenario or bad --sessions\n");
     return 2;

@@ -8,6 +8,27 @@
 
 namespace common {
 
+namespace {
+
+/// The calling thread's cached /proc/self/status fd, closed at thread exit:
+/// rank and stream threads are short-lived, and each would otherwise leave
+/// its fd open for the rest of the process.
+struct StatusFd {
+  int fd{-1};
+  pid_t pid{-1};
+
+  StatusFd() = default;
+  StatusFd(const StatusFd&) = delete;
+  StatusFd& operator=(const StatusFd&) = delete;
+  ~StatusFd() {
+    if (fd >= 0) {
+      ::close(fd);
+    }
+  }
+};
+
+}  // namespace
+
 MemStats read_memstats() {
   MemStats stats{};
   // Cached fd + pread(0): /proc regenerates content on every read, so one
@@ -16,21 +37,20 @@ MemStats read_memstats() {
   // in executor profiles. Thread-local so concurrent sessions don't race on
   // the fd; the pid check reopens after fork ("/proc/self" binds to the pid
   // at open time, so an inherited fd would report the parent's numbers).
-  thread_local int fd = -1;
-  thread_local pid_t fd_pid = -1;
+  thread_local StatusFd status;
   const pid_t pid = ::getpid();
-  if (fd < 0 || fd_pid != pid) {
-    if (fd >= 0) {
-      ::close(fd);
+  if (status.fd < 0 || status.pid != pid) {
+    if (status.fd >= 0) {
+      ::close(status.fd);
     }
-    fd = ::open("/proc/self/status", O_RDONLY | O_CLOEXEC);
-    fd_pid = pid;
-    if (fd < 0) {
+    status.fd = ::open("/proc/self/status", O_RDONLY | O_CLOEXEC);
+    status.pid = pid;
+    if (status.fd < 0) {
       return stats;
     }
   }
   char buf[8192];
-  const ssize_t n = ::pread(fd, buf, sizeof buf - 1, 0);
+  const ssize_t n = ::pread(status.fd, buf, sizeof buf - 1, 0);
   if (n <= 0) {
     return stats;
   }

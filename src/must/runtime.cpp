@@ -151,6 +151,7 @@ void Runtime::on_isend(const void* buf, std::size_t count, const mpisim::Datatyp
   auto [it, inserted] = pending_.emplace(request, PendingRequest{});
   CUSAN_ASSERT_MSG(inserted, "request already tracked");
   PendingRequest& pr = it->second;
+  pr.call = "MPI_Isend";
   pr.fiber = acquire_fiber();
   if (obs::tracing_enabled()) {
     pr.track = obs::request_track(static_cast<std::uint32_t>(next_request_ordinal_++));
@@ -177,6 +178,7 @@ void Runtime::on_irecv(void* buf, std::size_t count, const mpisim::Datatype& typ
   auto [it, inserted] = pending_.emplace(request, PendingRequest{});
   CUSAN_ASSERT_MSG(inserted, "request already tracked");
   PendingRequest& pr = it->second;
+  pr.call = "MPI_Irecv";
   pr.fiber = acquire_fiber();
   if (obs::tracing_enabled()) {
     pr.track = obs::request_track(static_cast<std::uint32_t>(next_request_ordinal_++));
@@ -206,8 +208,7 @@ void Runtime::on_complete(const mpisim::Request* request) {
     event.rank = obs::bound_rank();
     event.track = it->second.track;
     event.kind = obs::EventKind::kRequest;
-    std::snprintf(event.name, sizeof(event.name), "%s",
-                  request->kind() == mpisim::Request::Kind::kSend ? "MPI_Isend" : "MPI_Irecv");
+    std::snprintf(event.name, sizeof(event.name), "%s", it->second.call);
     obs::emit_event(event);
   }
   // MPI_Wait: the request's concurrent region ends; synchronize fiber -> host.
@@ -283,8 +284,7 @@ void Runtime::on_finalize() {
   for (const auto& [request, pr] : pending_) {
     ++counters_.request_leaks;
     reports_.push_back(MustReport{
-        ReportKind::kRequestLeak, request->kind() == mpisim::Request::Kind::kSend ? "MPI_Isend"
-                                                                                  : "MPI_Irecv",
+        ReportKind::kRequestLeak, pr.call,
         common::format("request {} was never completed (missing MPI_Wait/MPI_Test); its "
                        "concurrent region extends to MPI_Finalize",
                        static_cast<const void*>(request))});

@@ -169,6 +169,9 @@ class Runtime {
     char key{};  ///< request's HB sync object... address-stable via node map
     std::uint32_t track{0};     ///< obs request track (0 when tracing is off)
     std::uint64_t start_ns{0};  ///< issue timestamp for the request span
+    /// "MPI_Isend" or "MPI_Irecv", recorded at issue time: mpisim frees the
+    /// request on completion, so the pointer is only ever a map key.
+    const char* call{nullptr};
   };
 
   void annotate_datatype_range(const void* buf, std::size_t count, const mpisim::Datatype& type,

@@ -1,6 +1,6 @@
 // Lock-light per-rank event rings. The discipline mirrors faultsim's
 // injector hooks: when tracing is disabled every emit helper is exactly one
-// relaxed atomic load (bench/obs_guard.hpp asserts this stays true). When
+// relaxed atomic load (bench/hook_guard.hpp asserts this stays true). When
 // enabled, an emit claims a slot with one relaxed fetch_add and publishes the
 // event through a per-slot seqlock, so producers never take a mutex and a
 // full ring simply overwrites the oldest entries (drop-counted).

@@ -9,9 +9,7 @@
 #include "mpisim/failure.hpp"
 #include "obs/metrics.hpp"
 #include "schedsim/controller.hpp"
-#include "schedsim/explorer.hpp"
-#include "svc/executor.hpp"
-#include "testsuite/scenarios.hpp"
+#include "testsuite/campaign.hpp"
 
 namespace testsuite {
 namespace {
@@ -123,37 +121,20 @@ using faultsim::Site;
   return spec;
 }
 
-/// Everything one (plan, scenario) pair contributes to the sweep stats.
-/// Computed against the calling thread's injector/controller (global when
-/// sequential, session-private under --jobs) and merged in deterministic
-/// (plan, scenario) order by the caller.
-struct RunPartial {
-  std::size_t runs{0};
-  std::size_t faulted_runs{0};
-  std::uint64_t faults_fired{0};
-  std::uint64_t faults_unsurfaced{0};
-  std::size_t verdict_mismatches{0};
-  std::size_t rank_kill_runs{0};
-  std::size_t rank_failure_reports{0};
-  std::uint64_t dpor_executions{0};
-  std::uint64_t dpor_hb_prunes{0};
-  std::vector<std::string> failures;
-};
-
-/// All rounds (free schedule + optional PCT seeds) of one plan against one
-/// scenario, checking invariants 2-4 against the unfaulted baseline.
-[[nodiscard]] RunPartial run_plan_rounds(const faultsim::FaultPlan& plan,
+/// All rounds (free schedule + optional schedule rounds) of one plan against
+/// one scenario, checking invariants 2-4 against the unfaulted baseline. The
+/// result is the pair's share of the sweep stats (`scenarios` stays 0),
+/// computed against the calling thread's injector/controller.
+[[nodiscard]] SweepStats run_plan_rounds(const faultsim::FaultPlan& plan,
                                          const Scenario& scenario, std::size_t baseline_races,
                                          const SweepOptions& options, int p, bool fast) {
   auto& injector = faultsim::Injector::instance();
   obs::Counter& rank_failure_metric = obs::metric("mpisim.proc.rank_failures");
-  RunPartial partial;
+  SweepStats partial;
 
   // One faulted run under whatever schedule the caller configured, plus the
-  // invariant checks against its fired-fault ledger. Shared between the PCT
-  // rounds loop and the DPOR exploration (where the explorer decides how
-  // many times this executes).
-  const auto one_run = [&](int round) -> std::size_t {
+  // invariant checks against its fired-fault ledger.
+  const auto one_run = [&](std::size_t round) {
     injector.load(plan);  // resets match counters: every run sees the same schedule
     const std::uint64_t failures_before = rank_failure_metric.value();
     const std::size_t races = run_scenario_outcome(scenario, fast, options.watchdog).races;
@@ -171,7 +152,7 @@ struct RunPartial {
             "baseline {})",
             p, scenario.name, round, races, baseline_races));
       }
-      return races;
+      return UnitRun{races, 0};
     }
     ++partial.faulted_runs;
     partial.faults_fired += fired.size();
@@ -212,50 +193,36 @@ struct RunPartial {
       }
     }
     if (options.verbose) {
-      std::printf("[sweep] plan %d round %d %-70s races=%zu fired=%zu outcome=%s\n", p, round,
+      std::printf("[sweep] plan %d round %zu %-70s races=%zu fired=%zu outcome=%s\n", p, round,
                   scenario.name.c_str(), races, fired.size(), classify_run(fired).c_str());
     }
-    return races;
+    return UnitRun{races, fired.size()};
   };
 
-  if (options.dpor) {
-    // Round 0 runs the faulted plan on the free schedule, then the explorer
-    // systematically covers the run's happens-before classes; every executed
-    // schedule passes through the same invariant checks above.
+  // Round 0 runs the plan on the free schedule; schedule rounds (PCT seeds
+  // or a DPOR exploration of the run's happens-before classes) follow, and
+  // every executed schedule passes the same invariant checks.
+  CampaignFlags flags;
+  flags.schedules = static_cast<std::size_t>(options.schedules);
+  flags.dpor = options.dpor;
+  flags.dpor_bound = options.dpor_bound;
+  if (flags.schedule_sweep()) {
     schedsim::Controller::instance().clear();
-    (void)one_run(0);
-    schedsim::ExplorerOptions explorer_options;
-    explorer_options.bound = options.dpor_bound;
-    schedsim::Explorer explorer(explorer_options);
-    int round = 0;
-    (void)explorer.explore(schedsim::Controller::instance(), [&] { return one_run(++round); });
-    partial.dpor_executions += explorer.stats().executions;
-    partial.dpor_hb_prunes += explorer.stats().hb_prunes;
-    return partial;
   }
-
-  // With schedules requested, every (plan, scenario) run repeats under N
-  // seed-deterministic PCT schedules: round 0 is the free schedule, rounds
-  // 1..N perturb it. The invariants must hold under every combination.
-  const int rounds = options.schedules > 0 ? options.schedules + 1 : 1;
-  for (int round = 0; round < rounds; ++round) {
-    if (options.schedules > 0) {
-      if (round == 0) {
-        schedsim::Controller::instance().clear();
-      } else {
-        schedsim::Config sched;
-        sched.mode = schedsim::Mode::kSeed;
-        sched.seed = options.seed ^ (static_cast<std::uint64_t>(p) << 32) ^
-                     static_cast<std::uint64_t>(round);
-        schedsim::Controller::instance().configure(sched);
-      }
-    }
-    (void)one_run(round);
-  }
+  (void)one_run(0);
+  const ScheduleRounds rounds = run_schedule_rounds(
+      flags,
+      [&](std::size_t round) {
+        return options.seed ^ (static_cast<std::uint64_t>(p) << 32) ^
+               static_cast<std::uint64_t>(round);
+      },
+      one_run);
+  partial.dpor_executions = rounds.explorer.executions;
+  partial.dpor_hb_prunes = rounds.explorer.hb_prunes;
   return partial;
 }
 
-void merge_partial(SweepStats& stats, RunPartial& partial) {
+void merge_partial(SweepStats& stats, SweepStats& partial) {
   stats.runs += partial.runs;
   stats.faulted_runs += partial.faulted_runs;
   stats.faults_fired += partial.faults_fired;
@@ -309,15 +276,8 @@ faultsim::FaultPlan make_random_plan(std::uint64_t seed, int faults, int rank_ki
 }
 
 SweepStats run_fault_sweep(const SweepOptions& options) {
-  auto& injector = faultsim::Injector::instance();
   SweepStats stats;
-
-  std::vector<Scenario> scenarios;
-  for (Scenario& sc : build_scenarios()) {
-    if (options.filter.empty() || sc.name.find(options.filter) != std::string::npos) {
-      scenarios.push_back(std::move(sc));
-    }
-  }
+  const std::vector<const Scenario*> scenarios = select_scenarios(options.filter);
   stats.scenarios = scenarios.size();
 
   const bool fast = rsan::RuntimeConfig{}.use_shadow_fast_path;
@@ -332,64 +292,48 @@ SweepStats run_fault_sweep(const SweepOptions& options) {
     }
   }
 
-  if (options.jobs > 1) {
-    // Concurrent sweep: every scenario baseline and every (plan, scenario)
-    // pair runs as its own svc::Session. Each body's Injector/Controller
-    // instance() resolves to the session's private pair, so concurrent runs
-    // cannot cross-contaminate ledgers; partials land in pre-sized slots and
-    // merge in the same order the sequential loop would have produced.
-    svc::ExecutorOptions exec_options;
-    exec_options.workers = options.jobs;
-    svc::Executor executor(exec_options);
-
-    std::vector<std::size_t> baseline(scenarios.size(), 0);
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      svc::SessionSpec spec;
-      spec.label = scenarios[i].name + "/baseline";
-      spec.body = [&scenarios, &baseline, &options, fast, i] {
-        baseline[i] = run_scenario_outcome(scenarios[i], fast, options.watchdog).races;
-      };
-      (void)executor.submit(std::move(spec));
-    }
-    executor.wait_idle();
-
-    std::vector<RunPartial> partials(plans.size() * scenarios.size());
-    for (std::size_t p = 0; p < plans.size(); ++p) {
-      for (std::size_t i = 0; i < scenarios.size(); ++i) {
-        svc::SessionSpec spec;
-        spec.label = scenarios[i].name + "/plan" + std::to_string(p);
-        spec.body = [&plans, &scenarios, &baseline, &partials, &options, fast, p, i] {
-          partials[p * scenarios.size() + i] = run_plan_rounds(
-              plans[p], scenarios[i], baseline[i], options, static_cast<int>(p), fast);
-        };
-        (void)executor.submit(std::move(spec));
-      }
-    }
-    executor.wait_idle();
-    for (RunPartial& partial : partials) {
-      merge_partial(stats, partial);
-    }
-    return stats;
-  }
-
   // Unfaulted baseline (also exercises the watchdog's no-false-positive
   // promise: a short timeout must not misfire on clean runs).
-  injector.clear();
-  std::vector<std::size_t> baseline;
-  baseline.reserve(scenarios.size());
-  for (const Scenario& sc : scenarios) {
-    baseline.push_back(run_scenario_outcome(sc, fast, options.watchdog).races);
+  faultsim::Injector::instance().clear();
+  std::vector<std::string> labels;
+  for (const Scenario* scenario : scenarios) {
+    labels.push_back(scenario->name + "/baseline");
   }
+  std::vector<std::size_t> baseline(scenarios.size(), 0);
+  UnitsReport report = run_units(labels, options.jobs, [&](std::size_t i) {
+    baseline[i] = run_scenario_outcome(*scenarios[i], fast, options.watchdog).races;
+  });
+  std::vector<std::string> failures = std::move(report.failures);
+  stats.session_metrics = std::move(report.session_metrics);
 
+  labels.clear();
   for (std::size_t p = 0; p < plans.size(); ++p) {
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      RunPartial partial =
-          run_plan_rounds(plans[p], scenarios[i], baseline[i], options, static_cast<int>(p), fast);
-      merge_partial(stats, partial);
+    for (const Scenario* scenario : scenarios) {
+      labels.push_back(scenario->name + "/plan" + std::to_string(p));
     }
   }
+  // Partials land in pre-sized slots and merge in (plan, scenario) order, so
+  // the outcome is independent of the --jobs interleaving.
+  std::vector<SweepStats> partials(labels.size());
+  report = run_units(labels, options.jobs, [&](std::size_t k) {
+    const std::size_t p = k / scenarios.size();
+    const std::size_t i = k % scenarios.size();
+    partials[k] = run_plan_rounds(plans[p], *scenarios[i], baseline[i], options,
+                                  static_cast<int>(p), fast);
+  });
+  for (SweepStats& partial : partials) {
+    merge_partial(stats, partial);
+  }
+  failures.insert(failures.end(), report.failures.begin(), report.failures.end());
+  for (const auto& [key, value] : report.session_metrics) {
+    stats.session_metrics[key] += value;
+  }
+  stats.failed_units = failures.size();
+  for (const std::string& failure : failures) {
+    stats.failures.push_back("failed to run " + failure);
+  }
 
-  injector.clear();
+  faultsim::Injector::instance().clear();
   if (options.schedules > 0 || options.dpor) {
     schedsim::Controller::instance().clear();
   }

@@ -18,6 +18,7 @@
 
 #include "faultsim/injector.hpp"
 #include "faultsim/plan.hpp"
+#include "obs/metrics.hpp"
 
 namespace testsuite {
 
@@ -72,7 +73,11 @@ struct SweepStats {
   std::size_t rank_failure_reports{0};  ///< supervisor RankFailureReports observed across runs
   std::uint64_t dpor_executions{0};     ///< schedules executed by DPOR explorations
   std::uint64_t dpor_hb_prunes{0};      ///< decisions proven non-racing across explorations
+  std::size_t failed_units{0};          ///< runs that threw or whose session failed
   std::vector<std::string> failures;    ///< human-readable invariant violations
+  /// Summed metric deltas of the --jobs sessions' private registries (empty
+  /// at --jobs 1, where every run reports into the global registry).
+  obs::MetricsSnapshot session_metrics;
 
   [[nodiscard]] bool ok() const {
     return faults_unsurfaced == 0 && verdict_mismatches == 0 && failures.empty();

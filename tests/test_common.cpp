@@ -1,6 +1,10 @@
 // Unit tests for the common utility module.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
+#include <thread>
+
 #include "common/format.hpp"
 #include "common/interval_map.hpp"
 #include "common/memstats.hpp"
@@ -143,6 +147,21 @@ TEST(MemStatsTest, ReportsNonZeroRss) {
   const auto stats = common::read_memstats();
   EXPECT_GT(stats.rss_bytes, 0u);
   EXPECT_GE(stats.rss_peak_bytes, stats.rss_bytes);
+}
+
+// Every rank and stream thread reads the stats at finalize; the cached fd
+// must close when its thread exits, or a long-lived process runs out of fds.
+TEST(MemStatsTest, ShortLivedThreadsLeakNoFd) {
+  const auto open_fds = [] {
+    return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                         std::filesystem::directory_iterator{});
+  };
+  (void)common::read_memstats();  // this thread's own cached fd, opened once
+  const auto before = open_fds();
+  for (int i = 0; i < 64; ++i) {
+    std::thread([] { EXPECT_GT(common::read_memstats().rss_bytes, 0u); }).join();
+  }
+  EXPECT_EQ(open_fds(), before);
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {

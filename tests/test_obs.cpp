@@ -350,11 +350,13 @@ void session_body(capi::RankEnv& env) {
             cusim::Error::kSuccess);
   const int peer = env.rank() ^ 1;
   if (peer < env.size()) {
+    mpisim::Request* req = nullptr;
     if (env.rank() == 0) {
-      ASSERT_EQ(capi::mpi::send(env.comm, buf.data(), 64, mpisim::Datatype::float64(), peer, 0),
-                mpisim::MpiError::kSuccess);
+      ASSERT_EQ(
+          capi::mpi::isend(env.comm, buf.data(), 64, mpisim::Datatype::float64(), peer, 0, &req),
+          mpisim::MpiError::kSuccess);
+      ASSERT_EQ(capi::mpi::wait(env.comm, &req), mpisim::MpiError::kSuccess);
     } else if (env.rank() == 1) {
-      mpisim::Request* req = nullptr;
       ASSERT_EQ(
           capi::mpi::irecv(env.comm, buf.data(), 64, mpisim::Datatype::float64(), peer, 0, &req),
           mpisim::MpiError::kSuccess);
@@ -381,6 +383,9 @@ TEST_F(ObsSessionTest, TracedSessionExportsSchemaValidChromeTrace) {
   EXPECT_NE(rendered.find("\"rank 1\""), std::string::npos);
   EXPECT_NE(rendered.find("\"stream 0\""), std::string::npos);
   EXPECT_NE(rendered.find("\"mpi request fiber 0\""), std::string::npos);
+  // Request spans are named at issue time: mpisim has freed both requests
+  // by the time MUST closes their spans.
+  EXPECT_NE(rendered.find("\"MPI_Isend\""), std::string::npos);
   EXPECT_NE(rendered.find("\"MPI_Irecv\""), std::string::npos);
 }
 

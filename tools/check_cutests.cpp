@@ -46,13 +46,12 @@
 // document (per-scenario verdicts plus a summary block with the obs metrics
 // registry delta for the whole run), written to PATH or stdout.
 //
-// With --jobs=N scenarios run concurrently as svc::Sessions on a
-// work-stealing executor: each scenario gets a private metrics registry,
+// With --jobs=N scenarios run concurrently as svc::Sessions (see
+// testsuite/campaign.hpp): each scenario gets a private metrics registry,
 // diagnostics hub, fault injector and schedule controller, so verdicts and
-// per-scenario counters are identical to the sequential run while the wall
-// clock divides by the worker count. Output order stays deterministic
-// (scenario matrix order), and per-scenario fault accounting is per-session
-// (the summary sums the sessions).
+// per-scenario counters are identical to the sequential run. Output order
+// stays deterministic (scenario matrix order). Flag values are strict: a
+// malformed --schedules/--schedule-dir/--jobs value exits 2.
 //
 // Usage: check_cutests [--json[=PATH]] [--schedules=N|dpor[;bound:K]]
 //                      [--schedule-dir=DIR] [--jobs=N] [filter-substring]
@@ -64,27 +63,20 @@
 #include <string>
 #include <vector>
 
-#include "common/clock.hpp"
+#include "common/format.hpp"
 #include "faultsim/injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
 #include "schedsim/controller.hpp"
-#include "schedsim/explorer.hpp"
-#include "svc/executor.hpp"
+#include "testsuite/campaign.hpp"
 #include "testsuite/fault_sweep.hpp"
-#include "testsuite/scenarios.hpp"
 
 namespace {
 
-/// One schedule re-run of a scenario: a PCT seed run, or one DPOR-explored
-/// execution (then `seed` is the execution index and `pinned` the prefix).
+/// One classified schedule round (its decision trace is dropped once the
+/// reproducer, if any, is saved).
 struct SeedRun {
-  std::uint64_t seed{0};
-  std::size_t races{0};
-  std::uint64_t decisions{0};    ///< choice points answered by the controller
-  std::uint64_t preemptions{0};  ///< decisions steered away from the default
-  std::uint64_t pinned{0};       ///< dpor: decisions pinned by the prefix
-  double wall_ms{0.0};           ///< wall time of this schedule's run
+  testsuite::ScheduleRun run;
   const char* cls{"identical"};  ///< identical | new-true-race | divergence-bug | fault
   std::string trace_path;        ///< saved reproducer (--schedule-dir), if any
 };
@@ -105,47 +97,11 @@ struct ScenarioRecord {
   std::size_t schedule_new_races{0};
   /// DPOR exploration stats for this scenario (--schedules dpor).
   schedsim::ExplorerStats explorer_stats{};
-  /// Per-run fault accounting (meaningful in --jobs mode, where each
-  /// scenario's session owns a private injector ledger).
-  std::uint64_t session_fired{0};
-  std::size_t session_unsurfaced{0};
+  /// This scenario's slice of the fault ledger: faults fired across all its
+  /// runs, and the ones never surfaced.
+  std::uint64_t ledger_fired{0};
   std::vector<std::string> unsurfaced_lines;
 };
-
-/// What one scenario run needs to know beyond the scenario itself.
-struct RunConfig {
-  std::size_t schedules{0};
-  bool dpor{false};
-  std::uint32_t dpor_bound{0};  ///< 0 = explorer default
-  std::string schedule_dir;
-
-  [[nodiscard]] bool schedule_sweep() const { return schedules > 0 || dpor; }
-};
-
-/// Parse the --schedules value: a plain seed count, or `dpor[;bound:<k>]`
-/// (the CUSAN_SCHEDULE grammar restricted to the dpor mode).
-[[nodiscard]] bool parse_schedules_arg(const char* value, RunConfig* config) {
-  if (std::strncmp(value, "dpor", 4) == 0) {
-    schedsim::Config sched;
-    std::string error;
-    if (!schedsim::parse_schedule(value, &sched, &error) ||
-        sched.mode != schedsim::Mode::kDpor) {
-      std::fprintf(stderr, "--schedules: %s\n",
-                   error.empty() ? "expected dpor[;bound:<k>]" : error.c_str());
-      return false;
-    }
-    config->dpor = true;
-    config->dpor_bound = sched.bound;
-    return true;
-  }
-  const int parsed = std::atoi(value);
-  if (parsed <= 0) {
-    std::fprintf(stderr, "--schedules: expected a positive count or dpor[;bound:<k>]\n");
-    return false;
-  }
-  config->schedules = static_cast<std::size_t>(parsed);
-  return true;
-}
 
 /// Classify one seed run's verdict against the free-schedule baseline.
 [[nodiscard]] const char* classify_seed_run(const testsuite::Scenario& scenario,
@@ -173,139 +129,83 @@ struct RunConfig {
 }
 
 /// Run one scenario — fast/slow passes, fault accounting, optional schedule
-/// seed runs — against whatever injector/controller the calling thread
-/// resolves to. Sequentially that is the process-global pair (cumulative
-/// ledger, exactly the pre---jobs behavior); inside an svc::Session it is
-/// the session-private pair, so concurrent scenarios cannot bleed fired
-/// faults or schedule state into each other. No printing here: callers
-/// print in deterministic order from the returned record.
+/// rounds — against whatever injector/controller the calling thread
+/// resolves to (see testsuite/campaign.hpp). No printing here: the caller
+/// prints in deterministic order from the returned record.
 [[nodiscard]] ScenarioRecord run_scenario_record(const testsuite::Scenario& scenario,
-                                                 const RunConfig& config) {
+                                                 const testsuite::CampaignFlags& flags) {
   auto& injector = faultsim::Injector::instance();
-  auto& controller = schedsim::Controller::instance();
   ScenarioRecord record;
   record.scenario = &scenario;
   const std::size_t fired_before = injector.fired_count();
   record.fast = testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true);
   record.slow = testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/false);
   record.faults_fired = injector.fired_count() - fired_before;
-  if (record.faults_fired > 0) {
-    // Faults fired into this scenario: the verdict may legitimately differ
-    // from the fault-free expectation. Surfacing is checked at the end.
-    // Classify how the run ended — "perturbed" (all ranks survived) vs a
-    // contained rank death, named by its signal.
-    const auto& fired_log = injector.fired_log();
-    record.fault_outcome = testsuite::classify_run(std::vector<faultsim::FiredFault>(
-        fired_log.begin() + static_cast<std::ptrdiff_t>(fired_before), fired_log.end()));
-    return record;
+  // Faults that fired into the scenario legitimately change its verdict: it
+  // is tagged FAULT instead of classified (surfacing is checked at the end).
+  if (record.faults_fired == 0) {
+    record.diverged = record.fast.races != record.slow.races;
+    record.ok = !record.diverged && testsuite::classified_correctly(scenario, record.fast.races);
   }
-  record.diverged = record.fast.races != record.slow.races;
-  record.ok = !record.diverged && testsuite::classified_correctly(scenario, record.fast.races);
-  // Classify one explored/seeded run against the baseline and tally it.
-  const auto classify_and_tally = [&](SeedRun& run, bool fault_fired, std::size_t races) {
-    if (fault_fired) {
-      run.cls = "fault";  // injected failures legitimately change verdicts
-    } else {
-      run.cls = classify_seed_run(scenario, record.fast.races, races);
+  if (record.faults_fired == 0 && flags.schedule_sweep()) {
+    testsuite::ScheduleRounds rounds = testsuite::run_schedule_rounds(
+        flags, [](std::size_t round) { return static_cast<std::uint64_t>(round); },
+        [&](std::size_t) {
+          const std::size_t before = injector.fired_count();
+          const std::size_t races =
+              testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true).races;
+          return testsuite::UnitRun{races, injector.fired_count() - before};
+        });
+    record.explorer_stats = rounds.explorer;
+    for (testsuite::ScheduleRun& run : rounds.runs) {
+      SeedRun& seed_run = record.seed_runs.emplace_back();
+      // Injected failures legitimately change verdicts.
+      seed_run.cls = run.faults_fired != 0
+                         ? "fault"
+                         : classify_seed_run(scenario, record.fast.races, run.races);
+      if (std::strcmp(seed_run.cls, "divergence-bug") == 0) {
+        ++record.schedule_bugs;
+      } else if (std::strcmp(seed_run.cls, "new-true-race") == 0) {
+        ++record.schedule_new_races;
+      }
+      if (std::strcmp(seed_run.cls, "identical") != 0 && std::strcmp(seed_run.cls, "fault") != 0 &&
+          !flags.schedule_dir.empty()) {
+        // Save the decision trace: CUSAN_SCHEDULE=replay:FILE reproduces it.
+        const std::string path = flags.schedule_dir + "/" + sanitize_name(scenario.name) + "." +
+                                 (flags.dpor ? "dpor" : "seed") + std::to_string(run.seed) +
+                                 ".trace";
+        std::string error;
+        if (!obs::write_file(path, schedsim::serialize_trace(run.trace), &error)) {
+          std::fprintf(stderr, "--schedule-dir: %s\n", error.c_str());
+        } else {
+          seed_run.trace_path = path;
+        }
+      }
+      run.trace = {};
+      seed_run.run = std::move(run);
     }
-    if (std::strcmp(run.cls, "divergence-bug") == 0) {
-      ++record.schedule_bugs;
-    } else if (std::strcmp(run.cls, "new-true-race") == 0) {
-      ++record.schedule_new_races;
-    }
-  };
-  const auto save_reproducer = [&](SeedRun& run, const std::string& suffix,
-                                   const std::string& trace_text) {
-    if (std::strcmp(run.cls, "identical") == 0 || std::strcmp(run.cls, "fault") == 0 ||
-        config.schedule_dir.empty()) {
-      return;
-    }
-    // Save the decision trace: CUSAN_SCHEDULE=replay:FILE reproduces it.
-    const std::string path =
-        config.schedule_dir + "/" + sanitize_name(scenario.name) + "." + suffix + ".trace";
-    std::string error;
-    if (!obs::write_file(path, trace_text, &error)) {
-      std::fprintf(stderr, "--schedule-dir: %s\n", error.c_str());
-    } else {
-      run.trace_path = path;
-    }
-  };
-  if (config.dpor) {
-    // Systematic exploration: the explorer owns the controller for the
-    // scenario, installing one pinned prefix per executed schedule.
-    schedsim::ExplorerOptions options;
-    options.bound = config.dpor_bound;
-    schedsim::Explorer explorer(options);
-    std::vector<std::uint64_t> fired_per_execution;
-    const auto executions = explorer.explore(controller, [&]() -> std::size_t {
-      const std::uint64_t before = injector.fired_count();
-      const testsuite::ScenarioOutcome outcome =
-          testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true);
-      fired_per_execution.push_back(injector.fired_count() - before);
-      return outcome.races;
-    });
-    explorer.publish_metrics();
-    record.explorer_stats = explorer.stats();
-    for (const schedsim::Execution& execution : executions) {
-      SeedRun run;
-      run.seed = execution.index;
-      run.races = execution.races;
-      run.decisions = execution.trace.size();
-      run.pinned = execution.pinned;
-      run.wall_ms = execution.wall_ms;
-      classify_and_tally(run, fired_per_execution[execution.index] != 0, execution.races);
-      schedsim::ScheduleTrace trace;
-      trace.strategy = "dpor execution " + std::to_string(execution.index);
-      trace.entries = execution.trace;
-      save_reproducer(run, "dpor" + std::to_string(execution.index), serialize_trace(trace));
-      record.seed_runs.push_back(run);
-    }
-  }
-  // Randomized-schedule sweep: re-run the scenario under PCT schedules and
-  // classify every seed's verdict against the baseline just computed.
-  for (std::size_t s = 1; s <= config.schedules; ++s) {
-    schedsim::Config sched_config;
-    sched_config.mode = schedsim::Mode::kSeed;
-    sched_config.seed = s;
-    sched_config.record = true;  // in-memory: take_trace() below
-    controller.configure(sched_config);
-    const std::size_t sched_fired_before = injector.fired_count();
-    const std::uint64_t t0 = common::now_ns();
-    const testsuite::ScenarioOutcome outcome =
-        testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true);
-    const std::uint64_t t1 = common::now_ns();
-    const schedsim::Stats sched_stats = controller.stats();
-    SeedRun run;
-    run.seed = s;
-    run.races = outcome.races;
-    run.decisions = sched_stats.decisions;
-    run.preemptions = sched_stats.preemptions;
-    run.wall_ms = static_cast<double>(t1 - t0) / 1e6;
-    classify_and_tally(run, injector.fired_count() != sched_fired_before, outcome.races);
-    save_reproducer(run, "seed" + std::to_string(s), controller.take_trace());
-    record.seed_runs.push_back(run);
-  }
-  if (config.schedule_sweep()) {
-    controller.clear();
     if (record.schedule_bugs > 0) {
       record.ok = false;
     }
   }
-  return record;
-}
-
-/// Per-session fault accounting, read off the calling thread's (session)
-/// injector after the scenario ran.
-void collect_session_ledger(ScenarioRecord& record) {
-  const auto& injector = faultsim::Injector::instance();
-  record.session_fired = injector.fired_count();
-  record.session_unsurfaced = injector.unsurfaced_count();
-  for (const auto& f : injector.fired_log()) {
+  // This scenario's slice of the ledger: the process-global one at --jobs 1
+  // (cumulative across scenarios), the session's own under --jobs N.
+  const std::vector<faultsim::FiredFault> ledger = injector.fired_log();
+  const std::vector<faultsim::FiredFault> fired(
+      ledger.begin() + static_cast<std::ptrdiff_t>(fired_before), ledger.end());
+  if (record.faults_fired > 0) {
+    // "perturbed" (all ranks survived) or a contained rank death, named by
+    // its signal.
+    record.fault_outcome = testsuite::classify_run(fired);
+  }
+  record.ledger_fired = fired.size();
+  for (const faultsim::FiredFault& f : fired) {
     if (f.surfaced == faultsim::Channel::kNone) {
-      record.unsurfaced_lines.push_back("  UNSURFACED: fault #" + std::to_string(f.id) + " " +
-                                        to_string(f.action) + " at " + to_string(f.site));
+      record.unsurfaced_lines.push_back(common::format("  UNSURFACED: fault #{} {} at {}", f.id,
+                                                       to_string(f.action), to_string(f.site)));
     }
   }
+  return record;
 }
 
 /// The llvm-lit style per-scenario lines (non-JSON mode).
@@ -396,12 +296,12 @@ void append_json_escaped(std::string& out, const std::string& text) {
                                   const obs::MetricsSnapshot& metrics_delta, int world_ranks,
                                   std::size_t failures, std::size_t divergences,
                                   std::size_t faulted, std::size_t unsurfaced,
-                                  const RunConfig& config, std::size_t schedule_bugs,
+                                  const testsuite::CampaignFlags& flags, std::size_t schedule_bugs,
                                   std::size_t schedule_new_races) {
   std::string out = "{\n  \"world_ranks\": " + std::to_string(world_ranks) +
-                    ",\n  \"schedules\": " + std::to_string(config.schedules) +
+                    ",\n  \"schedules\": " + std::to_string(flags.schedules) +
                     ",\n  \"schedule_mode\": \"" +
-                    (config.dpor ? "dpor" : (config.schedules > 0 ? "pct" : "off")) + "\"" +
+                    (flags.dpor ? "dpor" : (flags.schedules > 0 ? "pct" : "off")) + "\"" +
                     ",\n  \"scenarios\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const ScenarioRecord& r = records[i];
@@ -428,23 +328,23 @@ void append_json_escaped(std::string& out, const std::string& text) {
       out += ", \"schedule_executions\": " + std::to_string(r.seed_runs.size());
       out += ", \"schedule_seeds\": [";
       for (std::size_t s = 0; s < r.seed_runs.size(); ++s) {
-        const SeedRun& run = r.seed_runs[s];
+        const testsuite::ScheduleRun& run = r.seed_runs[s].run;
         out += "{\"seed\": " + std::to_string(run.seed);
         out += ", \"races\": " + std::to_string(run.races);
         out += ", \"decisions\": " + std::to_string(run.decisions);
         out += ", \"preemptions\": " + std::to_string(run.preemptions);
-        if (config.dpor) {
+        if (flags.dpor) {
           out += ", \"pinned\": " + std::to_string(run.pinned);
         }
         out += ", \"wall_ms\": " + append_fixed(run.wall_ms);
         out += ", \"class\": \"";
-        out += run.cls;
+        out += r.seed_runs[s].cls;
         out += "\"}";
         out += s + 1 < r.seed_runs.size() ? ", " : "";
       }
       out += "]";
     }
-    if (config.dpor && r.explorer_stats.executions > 0) {
+    if (flags.dpor && r.explorer_stats.executions > 0) {
       out += ", \"dpor\": {\"executions\": " + std::to_string(r.explorer_stats.executions);
       out += ", \"backtracks\": " + std::to_string(r.explorer_stats.backtrack_points);
       out += ", \"sleep_prunes\": " + std::to_string(r.explorer_stats.sleep_prunes);
@@ -465,7 +365,7 @@ void append_json_escaped(std::string& out, const std::string& text) {
   out += ", \"faulted\": " + std::to_string(faulted);
   out += ", \"faults_unsurfaced\": " + std::to_string(unsurfaced);
   out += ", \"schedule_runs\": " +
-         std::to_string(!config.schedule_sweep() ? 0 : [&] {
+         std::to_string(!flags.schedule_sweep() ? 0 : [&] {
            std::size_t total = 0;
            for (const auto& r : records) {
              total += r.seed_runs.size();
@@ -474,7 +374,7 @@ void append_json_escaped(std::string& out, const std::string& text) {
          }());
   out += ", \"schedule_bugs\": " + std::to_string(schedule_bugs);
   out += ", \"schedule_new_races\": " + std::to_string(schedule_new_races);
-  if (config.dpor) {
+  if (flags.dpor) {
     schedsim::ExplorerStats totals;
     for (const auto& r : records) {
       totals.executions += r.explorer_stats.executions;
@@ -504,30 +404,18 @@ void append_json_escaped(std::string& out, const std::string& text) {
 int main(int argc, char** argv) {
   bool json = false;
   std::string json_path;
-  RunConfig config;
-  int jobs = 0;
-  const char* filter = nullptr;
+  testsuite::CampaignFlags flags;
+  std::string filter;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    if (testsuite::parse_campaign_flag(argc, argv, &i, &flags)) {
+      continue;
+    }
     if (std::strcmp(arg, "--json") == 0) {
       json = true;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       json = true;
       json_path = arg + 7;
-    } else if (std::strncmp(arg, "--schedules=", 12) == 0) {
-      if (!parse_schedules_arg(arg + 12, &config)) {
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--schedules") == 0 && i + 1 < argc) {
-      if (!parse_schedules_arg(argv[++i], &config)) {
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--schedule-dir=", 15) == 0) {
-      config.schedule_dir = arg + 15;
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      jobs = std::atoi(arg + 7);
-    } else if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
     } else {
       filter = arg;
     }
@@ -547,81 +435,45 @@ int main(int argc, char** argv) {
   const int world_ranks = capi::default_ranks();
   if (!json) {
     std::printf("-- world: %d ranks\n", world_ranks);
-    if (config.dpor) {
+    if (flags.dpor) {
       std::printf("-- schedules: dpor exploration (bound %u per scenario)\n",
-                  config.dpor_bound != 0 ? config.dpor_bound
-                                         : schedsim::ExplorerOptions::kDefaultBound);
-    } else if (config.schedules > 0) {
-      std::printf("-- schedules: %zu randomized seed(s) per scenario\n", config.schedules);
+                  flags.dpor_bound != 0 ? flags.dpor_bound
+                                        : schedsim::ExplorerOptions::kDefaultBound);
+    } else if (flags.schedules > 0) {
+      std::printf("-- schedules: %zu randomized seed(s) per scenario\n", flags.schedules);
     }
-    if (jobs > 1) {
-      std::printf("-- jobs: %d concurrent session(s)\n", jobs);
+    if (flags.jobs > 1) {
+      std::printf("-- jobs: %d concurrent session(s)\n", flags.jobs);
     }
   }
-  auto& controller = schedsim::Controller::instance();
-  if (config.schedule_sweep()) {
+  if (flags.schedule_sweep()) {
     // The sweep owns the controller for the whole run: baselines run with it
-    // disarmed, seed runs configure it per (scenario, seed).
-    controller.clear();
+    // disarmed, schedule rounds configure it per (scenario, round).
+    schedsim::Controller::instance().clear();
   }
 
-  const auto scenarios = testsuite::build_scenarios();
-
-  std::vector<const testsuite::Scenario*> selected;
-  for (const auto& scenario : scenarios) {
-    if (filter == nullptr || scenario.name.find(filter) != std::string::npos) {
-      selected.push_back(&scenario);
-    }
-  }
+  const std::vector<const testsuite::Scenario*> selected = testsuite::select_scenarios(filter);
   if (selected.empty()) {
-    std::fprintf(stderr, "no scenario matches filter '%s'\n", filter != nullptr ? filter : "");
+    std::fprintf(stderr, "no scenario matches filter '%s'\n", filter.c_str());
     return 2;
+  }
+  std::vector<std::string> labels;
+  for (const testsuite::Scenario* scenario : selected) {
+    labels.push_back(scenario->name);
   }
 
   const obs::MetricsSnapshot metrics_before = obs::MetricsRegistry::instance().snapshot();
-
   std::vector<ScenarioRecord> records(selected.size());
-  obs::MetricsSnapshot session_metrics;  // summed per-session deltas (--jobs)
-  if (jobs > 1) {
-    // One svc::Session per scenario: private injector/controller/metrics per
-    // session, results written into pre-sized slots so the output order (and
-    // every verdict) matches the sequential run exactly.
-    const char* env_plan = std::getenv("CUSAN_FAULT_PLAN");
-    svc::ExecutorOptions exec_options;
-    exec_options.workers = jobs;
-    svc::Executor executor(exec_options);
-    std::vector<svc::SessionHandlePtr> handles;
-    handles.reserve(selected.size());
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      svc::SessionSpec spec;
-      spec.label = selected[i]->name;
-      if (env_plan != nullptr) {
-        spec.fault_plan = env_plan;
-      }
-      spec.body = [&records, &selected, &config, i] {
-        records[i] = run_scenario_record(*selected[i], config);
-        collect_session_ledger(records[i]);
-      };
-      handles.push_back(executor.submit(std::move(spec)));
-    }
-    executor.wait_idle();
-    for (const auto& handle : handles) {
-      if (!handle->result().ok) {
-        std::fprintf(stderr, "session %s failed: %s\n", handle->label().c_str(),
-                     handle->result().error.c_str());
-        return 2;
-      }
-      for (const auto& [key, value] : handle->result().metric_deltas) {
-        session_metrics[key] += value;
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      records[i] = run_scenario_record(*selected[i], config);
-      if (!json) {
-        print_record(records[i], i + 1, selected.size());
-      }
-    }
+  const char* env_plan = std::getenv("CUSAN_FAULT_PLAN");
+  const testsuite::UnitsReport units = testsuite::run_units(
+      labels, flags.jobs,
+      [&](std::size_t i) { records[i] = run_scenario_record(*selected[i], flags); },
+      env_plan != nullptr ? env_plan : "");
+  for (const std::string& failure : units.failures) {
+    std::fprintf(stderr, "scenario failed to run: %s\n", failure.c_str());
+  }
+  if (!units.ok()) {
+    return 2;
   }
 
   std::size_t failures = 0;
@@ -633,11 +485,11 @@ int main(int argc, char** argv) {
   std::uint64_t total_hits = 0;
   std::uint64_t total_elided_launches = 0;
   std::uint64_t total_elided_bytes = 0;
-  std::uint64_t jobs_fired = 0;
-  std::size_t jobs_unsurfaced = 0;
+  std::uint64_t fired_total = 0;
+  std::size_t unsurfaced = 0;
   for (std::size_t i = 0; i < records.size(); ++i) {
     const ScenarioRecord& record = records[i];
-    if (jobs > 1 && !json) {
+    if (!json) {
       print_record(record, i + 1, records.size());
     }
     total_tracked += record.fast.tracked_bytes;
@@ -654,26 +506,19 @@ int main(int argc, char** argv) {
     }
     schedule_bugs += record.schedule_bugs;
     schedule_new_races += record.schedule_new_races;
-    jobs_fired += record.session_fired;
-    jobs_unsurfaced += record.session_unsurfaced;
+    fired_total += record.ledger_fired;
+    unsurfaced += record.unsurfaced_lines.size();
   }
 
-  // Fault accounting: sequentially the global injector holds the cumulative
-  // ledger; with --jobs each session held its own, summed above.
-  const std::uint64_t fired_total = jobs > 1 ? jobs_fired : injector.fired_count();
-  const std::size_t unsurfaced =
-      !faulted_run ? 0 : (jobs > 1 ? jobs_unsurfaced : injector.unsurfaced_count());
   if (json) {
-    obs::MetricsSnapshot metrics_delta;
-    if (jobs > 1) {
-      metrics_delta = session_metrics;
-    } else {
-      metrics_delta =
-          obs::MetricsRegistry::diff(obs::MetricsRegistry::instance().snapshot(), metrics_before);
-    }
+    // Under --jobs N every session kept its own registry; their deltas sum.
+    const obs::MetricsSnapshot metrics_delta =
+        flags.jobs > 1 ? units.session_metrics
+                       : obs::MetricsRegistry::diff(obs::MetricsRegistry::instance().snapshot(),
+                                                    metrics_before);
     const std::string doc =
         to_json(records, metrics_delta, world_ranks, failures, divergences, faulted, unsurfaced,
-                config, schedule_bugs, schedule_new_races);
+                flags, schedule_bugs, schedule_new_races);
     if (json_path.empty()) {
       std::fputs(doc.c_str(), stdout);
     } else {
@@ -691,14 +536,14 @@ int main(int argc, char** argv) {
         static_cast<double>(total_tracked) / 1024.0, static_cast<unsigned long long>(total_hits),
         static_cast<unsigned long long>(total_elided_launches),
         static_cast<double>(total_elided_bytes) / 1024.0);
-    if (config.schedule_sweep()) {
+    if (flags.schedule_sweep()) {
       std::size_t executed = 0;
       for (const ScenarioRecord& record : records) {
         executed += record.seed_runs.size();
       }
       std::printf("  Schedule runs: %zu\n  Schedule bugs: %zu\n  New races found: %zu\n",
                   executed, schedule_bugs, schedule_new_races);
-      if (config.dpor) {
+      if (flags.dpor) {
         schedsim::ExplorerStats totals;
         std::size_t bounded = 0;
         for (const ScenarioRecord& record : records) {
@@ -721,19 +566,9 @@ int main(int argc, char** argv) {
     if (faulted_run) {
       std::printf("  Faulted: %zu\n  Faults fired: %llu\n  Faults unsurfaced: %zu\n", faulted,
                   static_cast<unsigned long long>(fired_total), unsurfaced);
-      if (unsurfaced > 0 && jobs > 1) {
-        for (const ScenarioRecord& record : records) {
-          for (const std::string& line : record.unsurfaced_lines) {
-            std::printf("%s\n", line.c_str());
-          }
-        }
-      } else if (unsurfaced > 0) {
-        for (const auto& f : injector.fired_log()) {
-          if (f.surfaced == faultsim::Channel::kNone) {
-            std::printf("  UNSURFACED: fault #%llu %s at %s\n",
-                        static_cast<unsigned long long>(f.id), to_string(f.action),
-                        to_string(f.site));
-          }
+      for (const ScenarioRecord& record : records) {
+        for (const std::string& line : record.unsurfaced_lines) {
+          std::printf("%s\n", line.c_str());
         }
       }
     }

@@ -28,7 +28,7 @@
 
 #include "svc/client.hpp"
 #include "svc/server.hpp"
-#include "testsuite/scenarios.hpp"
+#include "testsuite/campaign.hpp"
 
 namespace {
 
@@ -53,28 +53,13 @@ namespace {
   std::exit(2);
 }
 
-/// The scenario matrix, built once and read-only thereafter (session bodies
-/// on worker threads only ever read it).
-[[nodiscard]] const std::vector<testsuite::Scenario>& scenario_matrix() {
-  static const std::vector<testsuite::Scenario> scenarios = testsuite::build_scenarios();
-  return scenarios;
-}
-
-[[nodiscard]] const testsuite::Scenario* find_scenario(const std::string& name) {
-  for (const auto& scenario : scenario_matrix()) {
-    if (scenario.name == name) {
-      return &scenario;
-    }
-  }
-  return nullptr;
-}
 
 /// kStart fields -> SessionSpec: scenario (required), fault_plan,
 /// schedule_seed, fast (default 1), watchdog_ms. This callback is the only
 /// place the daemon knows about the test suite; svc itself stays generic.
 bool make_session(const svc::wire::Fields& request, svc::SessionSpec* spec, std::string* error) {
   const std::string name = svc::wire::field_or(request, "scenario", "");
-  const testsuite::Scenario* scenario = find_scenario(name);
+  const testsuite::Scenario* scenario = testsuite::find_scenario(name);
   if (scenario == nullptr) {
     *error = name.empty() ? "missing field: scenario" : "unknown scenario: " + name;
     return false;
@@ -110,7 +95,7 @@ int cmd_serve(const std::string& socket_path, int workers, std::uint64_t max_mb)
     std::fprintf(stderr, "cusand: %s\n", error.c_str());
     return 1;
   }
-  std::printf("cusand: serving %zu scenarios on %s (%d workers)\n", scenario_matrix().size(),
+  std::printf("cusand: serving %zu scenarios on %s (%d workers)\n", testsuite::select_scenarios("").size(),
               server.socket_path().c_str(), server.executor().workers());
   std::fflush(stdout);
   server.serve();
@@ -250,8 +235,8 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   std::string socket_path = default_socket_path();
   if (command == "list-scenarios") {
-    for (const auto& scenario : scenario_matrix()) {
-      std::printf("%s\n", scenario.name.c_str());
+    for (const testsuite::Scenario* scenario : testsuite::select_scenarios("")) {
+      std::printf("%s\n", scenario->name.c_str());
     }
     return 0;
   }

@@ -21,6 +21,10 @@
 // With --jobs N the (plan, scenario) grid runs concurrently as svc::Sessions
 // on a work-stealing executor (per-session injector/controller/metrics), with
 // stats merged in deterministic order; verdicts are identical to --jobs 1.
+// --schedules and --jobs are parsed by testsuite/campaign.hpp.
+//
+// Exit code: 0 when every invariant holds, 1 on a violation, 2 on a usage
+// error or a run that threw (reported as a VIOLATION naming the run).
 //
 // Usage: fault_sweep [--plans N] [--faults N] [--seed N] [--filter SUBSTR]
 //                    [--watchdog MS] [--metrics PATH]
@@ -33,8 +37,8 @@
 
 #include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
-#include "schedsim/controller.hpp"
 #include "schedsim/explorer.hpp"
+#include "testsuite/campaign.hpp"
 #include "testsuite/fault_sweep.hpp"
 
 namespace {
@@ -66,10 +70,15 @@ long parse_long(const char* argv0, const char* flag, const char* value) {
 
 int main(int argc, char** argv) {
   testsuite::SweepOptions options;
+  testsuite::CampaignFlags flags;
   std::string metrics_path;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+    if (std::strncmp(arg, "--schedule-dir", 14) != 0 &&
+        testsuite::parse_campaign_flag(argc, argv, &i, &flags)) {
+      continue;
+    }
     if (std::strcmp(arg, "--plans") == 0) {
       options.plans = static_cast<int>(parse_long(argv[0], arg, value));
       ++i;
@@ -94,30 +103,8 @@ int main(int argc, char** argv) {
       }
       metrics_path = value;
       ++i;
-    } else if (std::strcmp(arg, "--schedules") == 0) {
-      if (value == nullptr) {
-        usage(argv[0]);
-      }
-      if (std::strncmp(value, "dpor", 4) == 0) {
-        schedsim::Config sched;
-        std::string error;
-        if (!schedsim::parse_schedule(value, &sched, &error) ||
-            sched.mode != schedsim::Mode::kDpor) {
-          std::fprintf(stderr, "--schedules: %s\n",
-                       error.empty() ? "expected dpor[;bound:<k>]" : error.c_str());
-          return 2;
-        }
-        options.dpor = true;
-        options.dpor_bound = sched.bound;
-      } else {
-        options.schedules = static_cast<int>(parse_long(argv[0], arg, value));
-      }
-      ++i;
     } else if (std::strcmp(arg, "--rank-kills") == 0) {
       options.rank_kills = static_cast<int>(parse_long(argv[0], arg, value));
-      ++i;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      options.jobs = static_cast<int>(parse_long(argv[0], arg, value));
       ++i;
     } else if (std::strcmp(arg, "--verbose") == 0) {
       options.verbose = true;
@@ -126,11 +113,14 @@ int main(int argc, char** argv) {
       usage(argv[0]);
     }
   }
+  options.schedules = static_cast<int>(flags.schedules);
+  options.dpor = flags.dpor;
+  options.dpor_bound = flags.dpor_bound;
+  options.jobs = flags.jobs;
   if (options.plans < 1 || options.faults_per_plan < 1 || options.watchdog.count() <= 0 ||
-      options.schedules < 0 || options.rank_kills < 0 || options.jobs < 1) {
+      options.rank_kills < 0) {
     std::fprintf(stderr,
-                 "--plans/--faults/--jobs must be >= 1, --watchdog must be > 0, "
-                 "--schedules/--rank-kills >= 0\n");
+                 "--plans/--faults must be >= 1, --watchdog must be > 0, --rank-kills >= 0\n");
     return 2;
   }
 
@@ -153,9 +143,13 @@ int main(int argc, char** argv) {
   const testsuite::SweepStats stats = testsuite::run_fault_sweep(options);
   if (!metrics_path.empty()) {
     // The sweep's whole-run registry delta (tool counters, fault ledger,
-    // contention counters) as one flat JSON object.
-    const auto delta = obs::MetricsRegistry::diff(obs::MetricsRegistry::instance().snapshot(),
-                                                  metrics_before);
+    // contention counters) plus the --jobs sessions' deltas, as one flat
+    // JSON object.
+    auto delta = obs::MetricsRegistry::diff(obs::MetricsRegistry::instance().snapshot(),
+                                            metrics_before);
+    for (const auto& [key, value] : stats.session_metrics) {
+      delta[key] += value;
+    }
     std::string error;
     if (!obs::write_file(metrics_path, obs::MetricsRegistry::to_json(delta), &error)) {
       std::fprintf(stderr, "--metrics: %s\n", error.c_str());
@@ -186,5 +180,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::printf("%s\n", stats.ok() ? "OK: all robustness invariants hold" : "FAILED");
+  if (stats.failed_units > 0) {
+    return 2;
+  }
   return stats.ok() ? 0 : 1;
 }
